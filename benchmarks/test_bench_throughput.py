@@ -12,12 +12,10 @@ pipeline stage so regressions are visible.  pytest-benchmark measures:
   product-then-filter), at the paper's 50-row table cap; the seed repo
   benchmarked 5-row tables only because the naive engine could not handle
   the paper's own scale,
-* columnar batch execution (``vectorized=True``) against the row-wise
-  closure tier on a selection-heavy workload, paired at the 50-row cap
-  and at 5,000 rows (``scripts/bench.py --rows``),
 * worst-case-optimal multiway joins (``GenericJoin``) against the
   ``wcoj=False`` ablation (DP-ordered binary hash joins) on cyclic
-  triangle/4-cycle workloads, paired at the same two scales,
+  triangle/4-cycle workloads, paired at the 50-row cap and at 5,000 rows
+  (``scripts/bench.py --rows``),
 * the full Theorem 1 translation (to SQL-RA + desugaring).
 
 ``scripts/bench.py`` runs the same workloads standalone and writes
@@ -102,63 +100,6 @@ def adversarial_db(seed, big_rows=60, small_rows=3, domain=8):
         ADVERSARIAL_SCHEMA,
         {"BIGA": rows(big_rows), "BIGB": rows(big_rows), "SMALL": rows(small_rows)},
     )
-
-
-# -- columnar execution workload ----------------------------------------------
-#
-# Selection-heavy queries over tables whose size is a *parameter*: the
-# columnar tier's fused filters win per scanned row, so the paired
-# engine_vectorized / engine_rowwise stages run both at the paper's 50-row
-# cap (where batch overheads roughly wash out) and at 5,000 rows (where
-# the ≥3x batch win shows).  Outputs are kept selective on purpose —
-# emission re-materializes row tuples at identical cost in every tier, so
-# output-heavy queries would measure the shared boundary, not the filter.
-# The literals are sized for the 5,000-value domain; at smaller ``rows``
-# the filters simply select more of the table.
-
-VEC_SCHEMA = Schema({"R": ("A", "B", "C"), "S": ("A", "B"), "T": ("A", "B")})
-
-VEC_SQL = (
-    "SELECT R.A FROM R WHERE R.B < R.C AND R.A < 250",
-    "SELECT R.A, R.B FROM R WHERE R.C >= 4800 AND R.B < R.A",
-    "SELECT R.A FROM R WHERE (R.A < R.B OR R.B < R.C) AND NOT (R.A = R.C) "
-    "AND R.A < 250",
-    "SELECT DISTINCT R.B FROM R WHERE R.B < 200 AND R.C > R.A",
-    "SELECT T.A, R.C FROM R, T WHERE R.A = T.A AND T.B < R.B AND R.C < 250",
-    "SELECT S.B FROM S WHERE S.A < 100 AND S.B >= S.A",
-    "SELECT R.B FROM R WHERE R.A IS NOT NULL AND R.B < 150",
-    "SELECT R.A FROM R WHERE R.A < 250 EXCEPT SELECT S.A FROM S WHERE S.B < 250",
-)
-
-
-def vec_db(seed, rows):
-    """One instance of the columnar workload schema: ~5% NULL cells, values
-    drawn from a domain that scales with the table size."""
-    rng = random.Random(seed)
-    domain = max(rows, 2)
-
-    def cell():
-        return None if rng.random() < 0.05 else rng.randrange(domain)
-
-    def make(n, arity):
-        return [tuple(cell() for _ in range(arity)) for _ in range(n)]
-
-    return Database(
-        VEC_SCHEMA,
-        {
-            "R": make(rows, 3),
-            "S": make(rows, 2),
-            "T": make(max(rows // 8, 1), 2),
-        },
-    )
-
-
-def vectorized_pairs(rows=50, databases=2):
-    """The columnar-execution workload: every query on every database."""
-    queries = [annotate(sql, VEC_SCHEMA) for sql in VEC_SQL]
-    return [
-        (query, vec_db(seed, rows)) for seed in range(databases) for query in queries
-    ]
 
 
 # -- worst-case-optimal join workload ------------------------------------------
@@ -332,35 +273,6 @@ def test_bench_engine_compiled(benchmark):
     engine = Engine(SCHEMA, "postgres")
     pairs = engine_pairs()
     run_workload(engine, pairs)  # admit + compile every plan up front
-    benchmark(run_workload, engine, pairs)
-
-
-def test_bench_engine_interpreted(benchmark):
-    """Ablation: ``compiled=False`` — the same optimized plans executed
-    through the interpreted operator tree (per-row virtual dispatch)."""
-    engine = Engine(SCHEMA, "postgres", compiled=False)
-    pairs = engine_pairs()
-    run_workload(engine, pairs)
-    benchmark(run_workload, engine, pairs)
-
-
-@pytest.mark.parametrize("rows", (PAPER_ROW_CAP, 5000))
-def test_bench_engine_vectorized(benchmark, rows):
-    """Columnar batch execution on the selection-heavy workload, plan
-    cache hot, at the paper's row cap and at 5,000 rows."""
-    engine = Engine(VEC_SCHEMA, "postgres", vectorized=True)
-    pairs = vectorized_pairs(rows=rows)
-    run_workload(engine, pairs)  # admit + batch-compile every plan up front
-    benchmark(run_workload, engine, pairs)
-
-
-@pytest.mark.parametrize("rows", (PAPER_ROW_CAP, 5000))
-def test_bench_engine_rowwise(benchmark, rows):
-    """Ablation: the same workload through the closure-compiled row-wise
-    tier (the default engine) — the engine_vectorized comparison leg."""
-    engine = Engine(VEC_SCHEMA, "postgres")
-    pairs = vectorized_pairs(rows=rows)
-    run_workload(engine, pairs)
     benchmark(run_workload, engine, pairs)
 
 

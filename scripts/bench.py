@@ -27,22 +27,13 @@ Engine stages (written to ``BENCH_engine.json``)
 * ``engine_naive``          — reference engine, ``optimize=False``
 * ``engine_compiled``       — closure-compiled execution (the default
   engine), plan cache hot: compile once, execute many
-* ``engine_interpreted``    — same optimized plans, ``compiled=False``
-  (the interpreted operator tree; the pair's digest equality and
-  ``compiled_speedup`` are recorded, and a mismatch fails the run)
-* ``engine_vectorized``     — columnar batch execution
-  (``vectorized=True``) on the selection-heavy workload, sized by
-  ``--rows`` (default: the paper's 50-row cap; pass ``--rows 5000`` for
-  the scale where the batch win shows)
-* ``engine_rowwise``        — the same workload through the row-wise
-  closure tier (the pair's ``vectorized_speedup`` is recorded; a
-  four-way digest gate — vectorized vs compiled vs interpreted vs naive
-  — runs at the 50-row cap, where the naive product engine is feasible,
-  plus a vectorized-vs-rowwise check at ``--rows`` scale, and any
-  mismatch fails the run)
+* ``engine_interpreted``    — same queries through single-use plans
+  (``plan_cache_size=0``: plan, optimize and interpret per execution, the
+  campaign path; the pair's digest equality and ``compiled_speedup`` are
+  recorded, and a mismatch fails the run)
 * ``engine_wcoj``           — worst-case-optimal multiway joins
   (``GenericJoin``) on the cyclic triangle/4-cycle workload, sized by
-  ``--rows``
+  ``--rows`` (default: the paper's 50-row cap)
 * ``engine_binary``         — same workload, ``wcoj=False`` (DP-ordered
   binary hash joins; the pair's ``wcoj_speedup`` is recorded, and a
   three-way digest gate — wcoj vs binary vs naive — runs at the 50-row
@@ -80,10 +71,7 @@ latency percentiles (p50/p95/p99), the parallel speedup, and that the two
 outcome digests are identical.  On a single-core container the parallel
 leg can only measure worker-process overhead, so it is skipped and marked
 ``"skipped"`` in the record; the point of the speedup is the trajectory
-on real hardware.  The stage also runs a paired engine-tier A/B (interpreted
-single-use plans — the shipped configuration — vs the columnar tier on
-the same trial stream, recorded as ``engine_tier_ab``) and exits non-zero
-if the shipped tier is more than 5% slower than the alternative.
+on real hardware.
 
 Distributed stage (merged into ``BENCH_campaign.json``)
 --------------------------------------------------------
@@ -140,7 +128,6 @@ sys.path.insert(0, str(_ROOT))
 from benchmarks.test_bench_throughput import (  # noqa: E402
     ADVERSARIAL_SCHEMA,
     SCHEMA,
-    VEC_SCHEMA,
     WCOJ_SCHEMA,
     engine_pairs,
     join_order_pairs,
@@ -148,7 +135,6 @@ from benchmarks.test_bench_throughput import (  # noqa: E402
     make_query,
     run_workload,
     setop_pairs,
-    vectorized_pairs,
     wcoj_pairs,
 )
 from repro.algebra import desugar, to_sqlra  # noqa: E402
@@ -241,8 +227,6 @@ ENGINE_STAGES = (
     "engine_naive",
     "engine_compiled",
     "engine_interpreted",
-    "engine_vectorized",
-    "engine_rowwise",
     "engine_wcoj",
     "engine_binary",
     "engine_join_order",
@@ -262,8 +246,8 @@ def build_stages(selected, rows=50):
     workloads the reporting needs), building only what ``selected`` stages
     require (pregenerating the 50-row engine pairs costs seconds, which a
     --stages run selecting cheap stages should not pay).  ``rows`` sizes
-    the columnar-workload tables (``engine_vectorized``/``engine_rowwise``
-    only; every other stage keeps its fixed scale)."""
+    the cyclic-workload tables (``engine_wcoj``/``engine_binary`` only;
+    every other stage keeps its fixed scale)."""
 
     def need(*names):
         return any(name in selected for name in names)
@@ -303,19 +287,20 @@ def build_stages(selected, rows=50):
             Engine(SCHEMA, "postgres", optimize=False), paper_pairs
         )
     if need("engine_compiled", "engine_interpreted"):
-        # Compiled-execution workload: the paper-scale pairs, with the
-        # plan cache on — the compiler hooks in at cache admission, so
-        # after the warm-up pass both engines execute cached plans and the
-        # pair isolates closure execution vs interpreted dispatch.
+        # Compiled-execution workload: the paper-scale pairs.  The
+        # compiler hooks in at plan-cache admission, so after the warm-up
+        # pass the default engine executes cached closure-compiled plans;
+        # the interpreted leg disables the plan cache, so every execution
+        # runs a fresh single-use plan through the interpreted operators.
         compiled_pairs = paper_pairs
         compiled_engine = Engine(SCHEMA, "postgres")
-        interpreted_engine = Engine(SCHEMA, "postgres", compiled=False)
+        interpreted_engine = Engine(SCHEMA, "postgres", plan_cache_size=0)
         context["compiled"] = (
             compiled_pairs,
             [
                 ("optimized", compiled_engine),
                 ("ablated", interpreted_engine),
-                ("naive", Engine(SCHEMA, "postgres", optimize=False, compiled=False)),
+                ("naive", Engine(SCHEMA, "postgres", optimize=False)),
             ],
         )
         stages["engine_compiled"] = lambda: run_workload(
@@ -366,40 +351,6 @@ def build_stages(selected, rows=50):
         stages["engine_setops_counted"] = lambda: run_workload(
             setops_ablated, so_pairs
         )
-    if need("engine_vectorized", "engine_rowwise"):
-        # Columnar-execution workload, sized by --rows.  Plan caches are
-        # on, so after warm-up the pair isolates batch execution against
-        # the closure-compiled row-wise tier on identical cached plans.
-        vec_pairs = vectorized_pairs(rows=rows)
-        vectorized_engine = Engine(VEC_SCHEMA, "postgres", vectorized=True)
-        rowwise_engine = Engine(VEC_SCHEMA, "postgres")
-        # The four-way digest gate includes the naive engine, whose
-        # product-shaped join plans cannot handle thousands of rows — the
-        # gate workload stays at the 50-row paper cap; only the two batch
-        # tiers are digest-checked again at --rows scale (the
-        # ``vectorized_scale`` group below).
-        gate_pairs = vec_pairs if rows <= 50 else vectorized_pairs(rows=50)
-        context["vectorized"] = (
-            gate_pairs,
-            [
-                ("vectorized", vectorized_engine),
-                ("compiled", rowwise_engine),
-                ("interpreted", Engine(VEC_SCHEMA, "postgres", compiled=False)),
-                ("naive", Engine(VEC_SCHEMA, "postgres", optimize=False)),
-            ],
-        )
-        if rows > 50:
-            context["vectorized_scale"] = (
-                vec_pairs,
-                [
-                    ("vectorized", vectorized_engine),
-                    ("rowwise", rowwise_engine),
-                ],
-            )
-        stages["engine_vectorized"] = lambda: run_workload(
-            vectorized_engine, vec_pairs
-        )
-        stages["engine_rowwise"] = lambda: run_workload(rowwise_engine, vec_pairs)
     if need("engine_wcoj", "engine_binary"):
         # Cyclic-join workload, sized by --rows.  Plan caches are on, so
         # after warm-up the pair isolates the multiway trie intersection
@@ -482,9 +433,8 @@ def check_ablation_digests(context, results_doc) -> bool:
     engines of a group must produce bit-identical outcomes — same bags,
     same error classes, same ``outcome_digest``.  Returns True when every
     selected group agrees; records the verdict (and the stage speedup) in
-    ``results_doc``.  The ``compiled`` group gates the closure compiler,
-    the four-way ``vectorized`` group the columnar backend (vectorized vs
-    compiled vs interpreted vs naive), and the three-way ``wcoj`` group
+    ``results_doc``.  The ``compiled`` group gates the closure compiler
+    (compiled vs interpreted vs naive), and the three-way ``wcoj`` group
     the multiway join (wcoj vs binary vs naive).
     """
     all_match = True
@@ -494,9 +444,6 @@ def check_ablation_digests(context, results_doc) -> bool:
         ("setops", "setop_speedup", "engine_setops", "engine_setops_counted"),
         ("compiled", "compiled_speedup", "engine_compiled",
          "engine_interpreted"),
-        ("vectorized", "vectorized_speedup", "engine_vectorized",
-         "engine_rowwise"),
-        ("vectorized_scale", None, None, None),
         ("wcoj", "wcoj_speedup", "engine_wcoj", "engine_binary"),
         ("wcoj_scale", None, None, None),
     ):
@@ -523,69 +470,13 @@ def check_ablation_digests(context, results_doc) -> bool:
     return all_match
 
 
-def bench_campaign_tiers(trials: int, rows: int, rounds: int = 3) -> dict:
-    """Paired A/B of the campaign engine tier: shipped (interpreted
-    single-use plans) vs the columnar tier on the same trial stream.
-
-    The legs alternate so both see the same scheduler noise (the same
-    reasoning as ``paired_ratio``).  The gate asserts the *shipped*
-    configuration is within 5% of the better leg — if batch compilation
-    ever starts paying off at campaign scale, the bench fails instead of
-    silently shipping the slower default.
-    """
-    from repro.generator import DataFillerConfig
-    from repro.validation import ValidationRunner
-
-    data_config = DataFillerConfig(max_rows=rows)
-    rowwise = ValidationRunner(variant="postgres", data_config=data_config)
-    vectorized = ValidationRunner(
-        variant="postgres", data_config=data_config, vectorized=True
-    )
-
-    def leg(runner):
-        for seed in range(trials):
-            runner.run_trial(seed)
-
-    leg(rowwise)  # warm-up: generator/datafiller caches, code caches
-    leg(vectorized)
-    rw_times, vec_times = [], []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        leg(rowwise)
-        rw_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        leg(vectorized)
-        vec_times.append(time.perf_counter() - start)
-    rw_tps = trials / statistics.median(rw_times)
-    vec_tps = trials / statistics.median(vec_times)
-    shipped_vs_best = max(rw_tps, vec_tps) / rw_tps
-    ok = shipped_vs_best <= 1.05
-    print(
-        f"campaign tier A/B ({trials} trials x {rounds} paired rounds): "
-        f"rowwise {rw_tps:.0f} trials/s, vectorized {vec_tps:.0f} trials/s "
-        f"(shipped=rowwise, best/shipped {shipped_vs_best:.3f}, gate: <= 1.05"
-        f"{'' if ok else ', SHIPPED TIER REGRESSED'})"
-    )
-    return {
-        "trials": trials,
-        "rounds": rounds,
-        "shipped": "rowwise",
-        "rowwise_trials_per_sec": round(rw_tps, 1),
-        "vectorized_trials_per_sec": round(vec_tps, 1),
-        "best_vs_shipped_ratio": round(shipped_vs_best, 3),
-        "gate_ok": ok,
-    }
-
-
 def bench_campaign(trials: int, jobs: int, rows: int, out_path: str) -> dict:
     """Serial vs N-worker throughput of one validation campaign.
 
     The previous file's serial trials/s (if any) is carried over as
     ``previous_serial_trials_per_sec`` with the percentage change in
     ``serial_delta_pct``, so the throughput trajectory across PRs is
-    machine-readable from the file alone.  The engine-tier A/B
-    (``bench_campaign_tiers``) is merged in as ``engine_tier_ab`` and its
-    gate failure propagates through the exit code.
+    machine-readable from the file alone.
     """
     previous_serial = None
     previous_path = Path(out_path)
@@ -599,7 +490,6 @@ def bench_campaign(trials: int, jobs: int, rows: int, out_path: str) -> dict:
     print(f"campaign: {trials} trials, postgres variant, serial ...")
     serial = run_campaign(spec, trials=trials, base_seed=0, jobs=1)
     print(f"  serial   {serial.trials_per_sec:10.1f} trials/s")
-    tier_ab = bench_campaign_tiers(min(600, trials), rows)
     # On a single-core container the parallel leg can only measure worker
     # process overhead, not parallelism — skip it and say so in the record
     # rather than publishing a meaningless sub-1x "speedup".
@@ -637,7 +527,6 @@ def bench_campaign(trials: int, jobs: int, rows: int, out_path: str) -> dict:
             else {"jobs": jobs, "skipped": True}
         ),
         "speedup": round(speedup, 3) if speedup is not None else "skipped",
-        "engine_tier_ab": tier_ab,
         "digest_match": (
             serial.outcome_digest == parallel.outcome_digest
             if parallel is not None
@@ -1551,8 +1440,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=5, help="rounds per stage")
     parser.add_argument(
         "--rows", type=int, default=50,
-        help="table size for the columnar workload stages "
-        "(engine_vectorized/engine_rowwise; default: the paper's 50-row cap)",
+        help="table size for the cyclic workload stages "
+        "(engine_wcoj/engine_binary; default: the paper's 50-row cap)",
     )
     parser.add_argument(
         "--stages",
@@ -1774,15 +1663,13 @@ def main(argv=None) -> int:
         Path(args.out).write_text(json.dumps(results_doc, indent=2) + "\n")
         print(f"engine stages -> {args.out}")
 
-    campaign_ok = True
     if CAMPAIGN_STAGE in selected:
-        campaign_doc = bench_campaign(
+        bench_campaign(
             args.campaign_trials,
             args.campaign_jobs,
             args.campaign_rows,
             args.campaign_out,
         )
-        campaign_ok = campaign_doc["engine_tier_ab"]["gate_ok"]
     distributed_ok = True
     if DISTRIBUTED_STAGE in selected:
         distributed_ok = bench_distributed(
@@ -1832,14 +1719,6 @@ def main(argv=None) -> int:
         print(
             "FATAL: distributed campaign digest/workers disagree with the "
             "serial run",
-            file=sys.stderr,
-        )
-        return 1
-    if not campaign_ok:
-        print(
-            "FATAL: the shipped campaign engine tier benches more than 5% "
-            "slower than the columnar alternative (re-evaluate the "
-            "single-use tier choice in repro.validation.runner)",
             file=sys.stderr,
         )
         return 1

@@ -33,7 +33,7 @@ class Table:
     which case the declared columns fix the arity).
     """
 
-    __slots__ = ("_columns", "_bag", "_scan_rows", "_scan_cols", "_scan_fp")
+    __slots__ = ("_columns", "_bag", "_scan_rows", "_scan_fp")
 
     def __init__(self, columns: Sequence[Label], rows: Union[Bag, Iterable[Record]]):
         columns = tuple(columns)
@@ -46,12 +46,10 @@ class Table:
             )
         self._columns = columns
         self._bag = bag
-        #: Engine-side memos (see repro.engine.binding.bind_plan): the rows
-        #: converted to the executor's value domain, and their transposition
-        #: into column vectors for the columnar tier.  Pure functions of the
-        #: immutable bag, computed lazily, excluded from eq/hash.
+        #: Engine-side memo (see repro.engine.binding.bind_plan): the rows
+        #: converted to the executor's value domain.  A pure function of
+        #: the immutable bag, computed lazily, excluded from eq/hash.
         self._scan_rows = None
-        self._scan_cols = None
         #: Build-cache content fingerprint over ``_scan_rows`` (same memo
         #: contract: lazy, content-pure, dies with the table).
         self._scan_fp = None

@@ -568,19 +568,17 @@ def bind_plan(
     plan: PlanNode,
     db: Database,
     cache: Optional[BuildSideCache] = None,
-    columnar: bool = False,
 ) -> PlanNode:
     """Bind every :class:`TableScan` to ``db`` and reset execution caches.
 
     Returns the same plan object (mutated in place): binding is cheap — one
     tree walk — compared to re-planning and re-optimizing the query, which
-    is the point of the plan cache.  The Null -> None row conversion (and,
-    with ``columnar=True``, the row -> column transposition the vectorized
-    tier scans from) is a pure function of the immutable
-    :class:`~repro.core.table.Table`, so both are memoized *on the table*:
-    rebinding the same database — or another plan reading the same table —
-    pays for the conversion exactly once, and the memos die with the
-    database rather than pinning it to a cached plan.
+    is the point of the plan cache.  The Null -> None row conversion is a
+    pure function of the immutable :class:`~repro.core.table.Table`, so it
+    is memoized *on the table*: rebinding the same database — or another
+    plan reading the same table — pays for the conversion exactly once,
+    and the memo dies with the database rather than pinning it to a
+    cached plan.
 
     With a ``cache``, shareable structures whose content key hits are
     restored instead of recomputed, and the (carrier, key) pairs are
@@ -605,16 +603,6 @@ def bind_plan(
                         for record in table.bag
                     ]
                 node.data = bound[node.table] = rows
-            if columnar:
-                table = db.table(node.table)
-                cols = table._scan_cols
-                if cols is None:
-                    if table._scan_rows:
-                        cols = list(map(list, zip(*table._scan_rows)))
-                    else:
-                        cols = [[] for _ in range(node.arity)]
-                    table._scan_cols = cols
-                node._columns = (node.data, cols)
         _reset_state(node, pred)
         nodes.append((node, pred))
     binds = getattr(plan, "_bind_count", 0) + 1
@@ -638,10 +626,7 @@ def bind_plan(
                         fingerprint = table._scan_fp = _Fingerprint(bound[name])
                     fingerprints[name] = fingerprint
                 contents.append((name, fingerprint))
-            # The execution tier is part of the key: the columnar backend
-            # stores build sides in a different shape (column vectors +
-            # row-id groups) than the row-wise tiers.
-            key = (signature, columnar, tuple(contents))
+            key = (signature, tuple(contents))
             bindings.append((carrier, key))
             value, rows = cache.lookup_entry(key, reader=owner)
             if value is not _MISSING:
@@ -684,7 +669,6 @@ def unbind_plan(
                 observed_tables[node.table] = count
                 node.observed_rows = count
             node.data = None
-            node._columns = None  # the columnar memo references the rows
         elif isinstance(node, CachedSubplan) and node._cache is not None:
             observed_nodes[f"{position}:CachedSubplan"] = len(node._cache)
         elif isinstance(node, HashJoin) and node._table is not None:
@@ -719,11 +703,7 @@ def unbind_plan(
 
 
 def _build_size(table) -> int:
-    """Rows in a hash-join build side, either tier's shape: the row-wise
-    tier stores ``key -> [row, ...]``, the columnar tier ``(right columns,
-    key -> [row id, ...])``."""
-    if isinstance(table, tuple):
-        table = table[1]
+    """Rows in a hash-join build side (``key -> [row, ...]``)."""
     return sum(len(group) for group in table.values())
 
 

@@ -47,14 +47,10 @@ evaluation order, 3VL short-circuits, streaming/early-termination points,
 materialization order and raised errors are preserved exactly (verified by
 ``tests/properties/test_compiled_equivalence.py`` and the digest-equality
 gate of ``scripts/bench.py --stages engine_compiled,engine_interpreted``).
-``Engine(compiled=False)`` keeps the interpreted path as the ablation
-baseline.
-
-The columnar tier (:mod:`repro.engine.columnar`) builds on this module:
-it reuses the constant folder, the source-keyed code cache, the compiled
-subquery probes (row-wise by design, preserving early termination) and
-:func:`_iter_fn` as its per-subtree fallback, so the two lowerings can
-never drift apart on the semantics they share.
+This is the engine's only lowering, and plan-cache admission is the only
+thing that selects it: the :class:`~repro.engine.Engine` compiles an
+optimized plan when it admits it to the plan cache (compile once, execute
+many), while single-use and naive plans stay interpreted.
 """
 
 from __future__ import annotations
@@ -87,7 +83,6 @@ from .operators import (
     ExistsPred,
     ExistsProbe,
     FilterOp,
-    GenericJoin,
     HashJoin,
     HashSetOp,
     InPred,
@@ -772,37 +767,6 @@ def _compile_hash_join(node: HashJoin) -> IterFn:
     return hash_join_iter
 
 
-def _compile_generic_join(node: GenericJoin) -> IterFn:
-    """Native lowering of the worst-case-optimal join: children materialize
-    through their compiled ``rows`` functions, while trie construction and
-    leapfrog enumeration reuse the node's own (already loop-shaped) methods
-    — and the tries live on the node (``_tries`` / ``_closed_build``), so
-    the binding layer's reset/harvest/restore walks govern compiled
-    execution unchanged, exactly like the hash-join build side."""
-    children_rows = [_rows_fn(child) for child in node.children]
-
-    def build(outers):
-        return node._build_tries([rows_fn(outers) for rows_fn in children_rows])
-
-    def build_tries(outers):
-        if node._closed_build is None:
-            node._closed_build = node.free_refs() == frozenset()
-        if not node._closed_build:
-            return build(outers)
-        tries = node._tries
-        if tries is None:
-            tries = node._tries = build(outers)
-        return tries
-
-    def generic_join_iter(outers):
-        tries = build_tries(outers)
-        if any(not trie for trie in tries):
-            return iter(())
-        return node._solve(0, list(tries))
-
-    return generic_join_iter
-
-
 def _compile_hash_setop(node: HashSetOp) -> IterFn:
     left_iter = _iter_fn(node.left)
     right_iter = _iter_fn(node.right)
@@ -964,8 +928,6 @@ def _iter_fn(node: PlanNode) -> IterFn:
         return _compile_filter(node)
     if isinstance(node, HashJoin):
         return _compile_hash_join(node)
-    if isinstance(node, GenericJoin):
-        return _compile_generic_join(node)
     if isinstance(node, CrossJoin):
         return _compile_cross_join(node)
     if isinstance(node, DistinctOp):
@@ -979,8 +941,11 @@ def _iter_fn(node: PlanNode) -> IterFn:
     if isinstance(node, (CachedSubplan, MemoSubplan)):
         rows_fn = _rows_fn(node)
         return lambda outers: iter(rows_fn(outers))
-    # Unknown node (an extension or a test double): fall back to its own
-    # interpreted iteration so compilation degrades instead of failing.
+    # Everything else runs its own interpreted iteration: GenericJoin,
+    # whose trie build and leapfrog enumeration are already loop-shaped
+    # node methods (a native lowering measured no faster, paired), and
+    # unknown nodes (extensions, test doubles), so compilation degrades
+    # instead of failing.
     return node.iter_rows
 
 

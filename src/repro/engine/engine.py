@@ -13,33 +13,31 @@ paper's naive product-then-filter evaluation — the escape hatch used by the
 ablation benchmarks to quantify the speedup, with the validation campaigns
 guaranteeing both paths agree with the formal semantics.
 
-On top of the plan *rewrites*, the plan is lowered into nested Python
-closures by default (:mod:`repro.engine.compile`): predicate trees become
-one generated function each, operators capture their children's compiled
-iterators directly, and per-row virtual dispatch disappears from the hot
-path.  ``compiled=False`` keeps the interpreted operator tree — the
-ablation baseline the ``engine_compiled`` / ``engine_interpreted`` bench
-stages compare (outcomes are bit-identical either way; the digest gate in
-``scripts/bench.py`` enforces it).  Compilation hooks in at plan-cache
-admission — compile once, execute many — so with ``plan_cache_size=0``
-(the campaign shape: a fresh query every trial, each executed once) plans
-stay interpreted: closure generation costs more than a single execution
-over 6-row tables saves, measured at ~17% of campaign engine time.
+On top of the plan *rewrites*, a plan admitted to the plan cache is
+lowered into nested Python closures (:mod:`repro.engine.compile`):
+predicate trees become one generated function each, operators capture
+their children's compiled iterators directly, and per-row virtual
+dispatch disappears from the hot path.  That admission is the one tier
+rule — ``run = compile_plan(plan) if self.optimize and admit else None``
+in :meth:`Engine._compile` — so the engine has exactly three tiers and no
+tier knobs:
 
-A fourth tier, ``vectorized=True``, swaps the row-at-a-time lowering for
-the columnar batch backend (:mod:`repro.engine.columnar`): each bound
-table is pivoted once into column vectors, operators exchange row-id
-selection batches, and WHERE predicates evaluate as paired 3VL
-value/unknown masks (or fused single-pass selections), with tuples
-materialized only at emission.  Outcomes remain bit-identical to every
-row-wise tier — the ``engine_vectorized`` / ``engine_rowwise`` bench
-stages gate on digest equality, and the tier wins ≥3x on selection-heavy
-workloads once tables reach thousands of rows.  Unlike the closure
-compiler it has no plan-cache admission gate: the tier is explicit
-opt-in, so even single-use plans are batch-compiled; at the campaign's
-6-row scale that codegen costs more than batch execution saves, which is
-why the validation runners keep the interpreted default (the campaign
-bench's ``engine_tier_ab`` A/B keeps that decision measured).
+* **naive** (``optimize=False``) — the paper's product-then-filter
+  evaluation, always interpreted: the reference baseline;
+* **interpreted** — optimized single-use plans (``plan_cache_size=0``: the
+  campaigns, the service's ad-hoc ``/query`` and its tier-fallback
+  engine), where closure generation costs more than one execution over
+  6-row tables saves (~17% of campaign engine time, measured); it is
+  also the reference compiled execution is digest-gated against;
+* **closure-compiled** — optimized plans admitted to the plan cache:
+  compile once, execute many.
+
+Outcomes are bit-identical across the tiers (the digest gates in
+``scripts/bench.py`` enforce it).  A columnar batch tier used to sit
+beside the closure compiler; it was the default on no path, tied the
+closure compiler on the service workload while peaking 7–9% higher in
+RSS, and gained nothing on single-use plans that closure compilation
+does not also gain, so it was removed.
 
 Plan cache
 ----------
@@ -93,13 +91,16 @@ from .binding import (
     iter_plan_nodes,
     unbind_plan,
 )
-from .columnar import compile_columnar
 from .compile import compile_plan
 from .operators import TableScan
 from .optimizer import DEFAULT_TABLE_ROWS, optimize_plan
 from .planner import CompiledQuery, DIALECT_ORACLE, DIALECT_POSTGRES, Planner
 
 __all__ = ["Engine", "DIALECT_POSTGRES", "DIALECT_ORACLE"]
+
+# Alias kept for callers that wrap both lowering entry points by name
+# (the layer-traced benchmark run patches ``compile_columnar`` too).
+compile_columnar = compile_plan
 
 #: Default number of distinct query plans kept per engine (LRU-evicted).
 DEFAULT_PLAN_CACHE_SIZE = 256
@@ -134,42 +135,15 @@ class Engine:
         schema: Schema,
         dialect: str = DIALECT_POSTGRES,
         optimize: bool = True,
-        compiled: Optional[bool] = None,
-        vectorized: bool = False,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
         build_cache_size: int = DEFAULT_BUILD_CACHE_SIZE,
         plan_cache_bytes: Optional[int] = None,
         build_cache_bytes: Optional[int] = None,
         optimizer_options: Optional[Dict[str, bool]] = None,
     ):
-        # The tiers compose predictably or not at all: both lowerings
-        # consume *optimized* physical plans (HashJoin, HashSetOp, probe
-        # nodes), and vectorized/compiled are alternatives, not layers.
-        if vectorized and not optimize:
-            raise ValueError(
-                "Engine(vectorized=True, optimize=False) is invalid: the "
-                "columnar backend lowers optimized physical plans; ablate "
-                "the tier with vectorized=False instead"
-            )
-        if compiled is None:
-            compiled = optimize and not vectorized
-        elif compiled and not optimize:
-            raise ValueError(
-                "Engine(compiled=True, optimize=False) is invalid: the "
-                "closure compiler lowers optimized physical plans; leave "
-                "compiled unset (it follows optimize) or pass compiled=False"
-            )
-        elif compiled and vectorized:
-            raise ValueError(
-                "Engine(compiled=True, vectorized=True) is ambiguous: pick "
-                "one execution tier (vectorized=True already implies the "
-                "columnar backend)"
-            )
         self.schema = schema
         self.dialect = dialect
         self.optimize = optimize
-        self.compiled = compiled
-        self.vectorized = vectorized
         self.plan_cache_size = plan_cache_size
         #: Optional estimated-byte budget for cached plans; None = unbounded.
         self.plan_cache_bytes = plan_cache_bytes
@@ -210,7 +184,7 @@ class Engine:
                 self._observed_tables[name] = len(db.table(name))
         compiled = self._plan(query)
         cache = self._build_cache if self.plan_cache_size > 0 else None
-        bind_plan(compiled.plan, db, cache=cache, columnar=self.vectorized)
+        bind_plan(compiled.plan, db, cache=cache)
         try:
             rows = (compiled.run or compiled.plan.iter_rows)(())
             # NULL restoration at the output boundary; null-free rows (the
@@ -319,17 +293,7 @@ class Engine:
                     )
             plan = optimize_plan(plan, **self.optimizer_options)
             plan._planned_rows = planned_rows
-        if self.vectorized:
-            # No ``admit`` gate: the tier is explicit opt-in, so even
-            # single-use plans (plan_cache_size=0) are batch-compiled.
-            # Break-even needs tables past the campaign's 6-row scale —
-            # the bench's campaign A/B records the measured gap, and the
-            # validation runners stay interpreted accordingly.
-            run = compile_columnar(plan)
-        elif self.compiled and admit:
-            run = compile_plan(plan)
-        else:
-            run = None
+        run = compile_plan(plan) if self.optimize and admit else None
         return CompiledQuery(plan, compiled.labels, run)
 
     def cache_info(self) -> Dict[str, object]:

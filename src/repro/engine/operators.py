@@ -215,9 +215,6 @@ class TableScan(PlanNode):
     #: unbind walk (and seeded by the engine on freshly planned scans):
     #: the optimizer's cardinality feedback for unbound plans.
     observed_rows: Optional[int] = field(default=None, compare=False, repr=False)
-    #: Columnar tier memo: ``(source rows, column vectors)`` — converted
-    #: once per bind, invalidated by identity and cleared on unbind.
-    _columns: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def iter_rows(self, outers: OuterStack) -> Iterator[Row]:
         return iter(self.rows(outers))

@@ -107,15 +107,12 @@ class _Scope:
 class CompiledQuery:
     """A compiled plan plus its output column labels.
 
-    ``run``, when present, is a lowered executor — either the
-    closure-compiled tier (:func:`repro.engine.compile.compile_plan`) or
-    the columnar batch tier
-    (:func:`repro.engine.columnar.compile_columnar`) — a drop-in
-    replacement for ``plan.iter_rows`` that shares all mutable state with
-    the plan tree (so binding and unbinding work unchanged).  The planner
-    itself leaves it unset; the :class:`~repro.engine.Engine` fills it in
-    (at plan-cache admission for the closure tier; unconditionally for
-    the cheap-to-compile columnar tier).
+    ``run``, when present, is the closure-compiled executor
+    (:func:`repro.engine.compile.compile_plan`) — a drop-in replacement
+    for ``plan.iter_rows`` that shares all mutable state with the plan
+    tree (so binding and unbinding work unchanged).  The planner itself
+    leaves it unset; the :class:`~repro.engine.Engine` fills it in at
+    plan-cache admission of an optimized plan.
     """
 
     plan: PlanNode

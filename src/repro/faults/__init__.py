@@ -30,8 +30,9 @@ Sites are plain dotted strings; the hooks threaded through the stack are:
 ``live.transient``
     A transient ``sqlite3.OperationalError`` from the live backend.
 ``server.exec_error``
-    The service's compiled/vectorized execution tier raises; the request
-    must fall back to the interpreted tier, never serve wrong.
+    The service's primary engine (cached, closure-compiled plans) raises;
+    the request must fall back to a fresh single-use engine running the
+    plan interpreted, never serve wrong.
 ``server.slow``
     The service stalls inside request handling (drives deadline tests).
 ``server.disconnect``

@@ -15,6 +15,11 @@ two adjusted implementations:
 The paper ran 100,000 trials per variant and observed full agreement; the
 runner reproduces that experiment at any scale.
 
+Every trial plans a fresh query and executes it once, so the runner's
+engine disables the plan cache and its plans run on the engine's
+*interpreted* tier: the closure compiler only lowers plans admitted to the
+plan cache (see :mod:`repro.engine.engine`).
+
 The runner owns the *per-trial* logic (seed → query → database → compared
 outcome); campaign *execution* — sharding across worker processes,
 checkpointing, resume, aggregation — lives in :mod:`repro.campaigns`, for
@@ -93,7 +98,6 @@ class ValidationRunner:
         variant: str = "postgres",
         generator_config: GeneratorConfig = PAPER_CONFIG,
         data_config: Optional[DataFillerConfig] = None,
-        vectorized: bool = False,
     ):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -115,27 +119,15 @@ class ValidationRunner:
         # default cache.  This also keeps trial plans *interpreted*: the
         # closure compiler hooks in at plan-cache admission only, and for a
         # plan executed once over 6-row tables closure generation costs
-        # more than it saves (see repro.engine.compile).  The columnar tier
-        # compiles even single-use plans, but at this scale its codegen
-        # likewise costs more than batch execution saves (~1.5x slower
-        # serial campaigns, measured — scripts/bench.py records the A/B),
-        # so ``vectorized`` stays an ablation knob here rather than the
-        # default.
-        self.vectorized = vectorized
+        # more than it saves (see repro.engine.engine).
         if variant == "postgres":
             self.star_style = STAR_COMPOSITIONAL
             self.semantics = SqlSemantics(self.schema, star_style=STAR_COMPOSITIONAL)
-            self.engine = Engine(
-                self.schema, DIALECT_POSTGRES, plan_cache_size=0,
-                vectorized=vectorized,
-            )
+            self.engine = Engine(self.schema, DIALECT_POSTGRES, plan_cache_size=0)
         else:
             self.star_style = STAR_STANDARD
             self.semantics = SqlSemantics(self.schema, star_style=STAR_STANDARD)
-            self.engine = Engine(
-                self.schema, DIALECT_ORACLE, plan_cache_size=0,
-                vectorized=vectorized,
-            )
+            self.engine = Engine(self.schema, DIALECT_ORACLE, plan_cache_size=0)
 
     # -- single trial ---------------------------------------------------------
 

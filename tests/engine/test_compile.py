@@ -208,7 +208,7 @@ def test_compiled_engine_matches_interpreted_on_handwritten_queries():
     ]
     db = make_db([(1, 2), (2, NULL), (NULL, 4), (3, 3)], [(1,), (3,), (NULL,)])
     compiled_engine = Engine(SCHEMA, "postgres")
-    interpreted_engine = Engine(SCHEMA, "postgres", compiled=False)
+    interpreted_engine = Engine(SCHEMA, "postgres", plan_cache_size=0)
     for text in queries:
         query = annotate(text, SCHEMA)
         compiled = compiled_engine.execute(query, db)
@@ -245,17 +245,23 @@ def test_compiled_engine_uses_build_side_cache():
 
 
 def test_compilation_hooks_in_at_plan_cache_admission_only():
+    """The one tier rule: an optimized plan admitted to the plan cache is
+    closure-compiled; single-use (``plan_cache_size=0``) and naive
+    (``optimize=False``) plans stay interpreted.  No knob selects a tier."""
     query = annotate("SELECT R.A FROM R", SCHEMA)
     cached_engine = Engine(SCHEMA, "postgres")
     assert cached_engine._plan(query).run is not None
     single_use = Engine(SCHEMA, "postgres", plan_cache_size=0)
     assert single_use._plan(query).run is None
-    ablated = Engine(SCHEMA, "postgres", compiled=False)
-    assert ablated._plan(query).run is None
+    naive = Engine(SCHEMA, "postgres", optimize=False)
+    assert naive._plan(query).run is None
+    for knob in ("compiled", "vectorized"):
+        with pytest.raises(TypeError):
+            Engine(SCHEMA, "postgres", **{knob: True})
     # All three still agree, of course.
     db = make_db([(1, 2)], [(1,)])
     results = [
         engine.execute(query, db)
-        for engine in (cached_engine, single_use, ablated)
+        for engine in (cached_engine, single_use, naive)
     ]
     assert results[0].same_as(results[1]) and results[0].same_as(results[2])

@@ -2,11 +2,11 @@
 
 The paper's methodology, aimed at the compilation layer: on ≥500 random
 query/database pairs per dialect variant — the second-generation
-set-op/subquery-tilted generator mix — the closure-compiled engine
-(``compiled=True``, the default), the interpreted engine
-(``compiled=False``) and the naive interpreted engine (``optimize=False,
-compiled=False``) must produce the same bag (columns, rows,
-multiplicities) or the same error class.  Compilation is a pure lowering
+set-op/subquery-tilted generator mix — the closure-compiled engine (the
+default: plans are compiled at plan-cache admission), the interpreted
+engine (``plan_cache_size=0``: single-use plans are never lowered) and the
+naive engine (``optimize=False``, always interpreted) must produce the
+same bag (columns, rows, multiplicities) or the same error class.  Compilation is a pure lowering
 of the same physical plan, so unlike the optimizer rewrites it has *no*
 error-order latitude: outcomes must match even where plans raise.
 
@@ -60,8 +60,8 @@ def _pair(seed):
 def test_compiled_interpreted_and_naive_coincide(dialect):
     engines = {
         "compiled": Engine(SCHEMA, dialect),
-        "interpreted": Engine(SCHEMA, dialect, compiled=False),
-        "naive": Engine(SCHEMA, dialect, optimize=False, compiled=False),
+        "interpreted": Engine(SCHEMA, dialect, plan_cache_size=0),
+        "naive": Engine(SCHEMA, dialect, optimize=False),
     }
     failures = []
     for seed in range(TRIALS):
